@@ -10,7 +10,7 @@ import (
 )
 
 // warmFabric drives enough random traffic through f to reach steady
-// state: the packet arena, event heap, per-VC queues, waiter slices, and
+// state: the packet arena, event queue, per-VC queues, waiter slices, and
 // routing scratch have all grown to their working sizes.
 func warmFabric(tb testing.TB, f *Fabric, msgs int) {
 	tb.Helper()

@@ -133,7 +133,7 @@ func runFusedPair(t *testing.T, seed int64, msgs int) (tieFree bool) {
 	tiesF := ff.Kernel().Stats().TimestampTies
 	tiesR := fr.Kernel().Stats().TimestampTies
 	if tiesF != 0 || tiesR != 0 {
-		// Same-timestamp heap events fired: schedule order (which the two
+		// Same-timestamp queued events fired: schedule order (which the two
 		// models necessarily differ on — a fused hop is scheduled at
 		// serialization start, a split arrival at serialization end) may
 		// have decided a contention race. Identity is not owed here.

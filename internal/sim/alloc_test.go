@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // countingHandler is a minimal typed-event consumer that optionally
 // reschedules itself, driving a steady event stream with no closures.
@@ -19,7 +22,7 @@ func (h *countingHandler) HandleEvent(kind uint8, a, b int64) {
 }
 
 // TestTypedEventDispatchAllocFree pins the kernel's typed-event fast path
-// at zero allocations per dispatch in steady state: once the event heap
+// at zero allocations per dispatch in steady state: once the event queue
 // has grown to its working size, scheduling and executing AtEvent/
 // AfterEvent events must never touch the allocator. This is the
 // foundation the fabric's zero-alloc packet path is built on; a
@@ -29,7 +32,7 @@ func TestTypedEventDispatchAllocFree(t *testing.T) {
 	h := &countingHandler{k: k}
 	h.id = k.RegisterHandler(h)
 
-	// Warm the heap past the working depth of the measured loop.
+	// Warm the queue past the working depth of the measured loop.
 	for i := 0; i < 1024; i++ {
 		k.AtEvent(k.Now()+Time(i), h.id, 0, 0, 0)
 	}
@@ -45,6 +48,47 @@ func TestTypedEventDispatchAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("typed event schedule+dispatch allocated %.2f times per %d events, want 0",
 			allocs, perRun)
+	}
+}
+
+// TestDeepQueueDispatchAllocFree is TestTypedEventDispatchAllocFree at
+// a busy fabric's depth: 1024 events stay in flight with delays from 1ns
+// to ~1ms, so events spread over many queue buckets, each of which grows
+// lazily. Once every bucket has reached its working size, dispatch must
+// not allocate — and a warm Reset must keep that capacity, so a Reset
+// followed by a replay of the same schedule allocates nothing either.
+func TestDeepQueueDispatchAllocFree(t *testing.T) {
+	const depth, perRun = 1024, 4096
+	delays := make([]Time, 21)
+	for i := range delays {
+		delays[i] = Nanosecond << i // 1ns .. ~1ms
+	}
+	k := NewKernel()
+	h := newChurn(k, math.MaxInt, delays)
+	run := func() {
+		for i := 0; i < perRun; i++ {
+			k.step()
+		}
+	}
+	h.fill(depth)
+	for i := 0; i < 16; i++ {
+		run() // grow every bucket to its working size
+	}
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Fatalf("deep-queue dispatch allocated %.2f times per %d events, want 0", allocs, perRun)
+	}
+	if p := k.Pending(); p != depth {
+		t.Fatalf("pending = %d, want %d", p, depth)
+	}
+
+	allocs := testing.AllocsPerRun(20, func() {
+		k.Reset()
+		h.x = churnSeed
+		h.fill(depth)
+		run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset + replay allocated %.2f times per %d events, want 0", allocs, perRun)
 	}
 }
 

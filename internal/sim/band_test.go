@@ -4,9 +4,9 @@ import "testing"
 
 // TestBandFIFOOrderAmongEqualTimestamps pins the same-timestamp drain rule
 // against the pre-band reference semantics: events fire in exact (t, seq)
-// order no matter whether they sit in the heap (scheduled before virtual
+// order no matter whether they sit in the event queue (scheduled before virtual
 // time reached t) or in the band (scheduled at t == now, from inside an
-// event). Heap entries at the current time carry the smaller sequence
+// event). Queued entries at the current time carry the smaller sequence
 // numbers, so they must all run before any band entry, and each group runs
 // FIFO within itself.
 func TestBandFIFOOrderAmongEqualTimestamps(t *testing.T) {
@@ -16,13 +16,13 @@ func TestBandFIFOOrderAmongEqualTimestamps(t *testing.T) {
 		k.At(tm, func() { order = append(order, id) })
 	}
 
-	// Three events pre-queued at t=10 (heap, seqs 1..3). The first one
+	// Three events pre-queued at t=10 (queue, seqs 1..3). The first one
 	// schedules two zero-delay events (band) plus a future event; the
 	// second schedules one more zero-delay event after those.
 	k.At(10, func() {
 		order = append(order, 1)
 		at(10, 4) // band
-		at(12, 7) // heap, future
+		at(12, 7) // queue, future
 		at(10, 5) // band
 	})
 	k.At(10, func() {
@@ -32,7 +32,7 @@ func TestBandFIFOOrderAmongEqualTimestamps(t *testing.T) {
 	at(10, 3)
 	k.Run()
 
-	// Reference (t, seq) order: heap entries 1,2,3 first (scheduled before
+	// Reference (t, seq) order: queued entries 1,2,3 first (scheduled before
 	// now reached 10), then band entries 4,5,6 in scheduling order, then 7
 	// at t=12.
 	want := []int{1, 2, 3, 4, 5, 6, 7}
@@ -51,7 +51,7 @@ func TestBandFIFOOrderAmongEqualTimestamps(t *testing.T) {
 
 // TestBandTypedAndClosureInterleave checks the band preserves order across
 // the two scheduling APIs: typed events and closures scheduled at the
-// current time run in scheduling order, exactly as zero-delay heap events
+// current time run in scheduling order, exactly as zero-delay queued events
 // did before the band existed.
 func TestBandTypedAndClosureInterleave(t *testing.T) {
 	k := NewKernel()

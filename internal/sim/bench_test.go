@@ -19,25 +19,69 @@ func BenchmarkEventThroughput(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkHeapChurn measures scheduling with a deep pending queue, the
-// regime of a busy fabric.
+// churnHandler keeps a population of typed events in flight: every
+// firing schedules one successor at a pseudo-random delay until n events
+// have been scheduled in total, so the queue stays at its initial depth
+// until the final drain.
+type churnHandler struct {
+	k         *Kernel
+	id        HandlerID
+	scheduled int
+	n         int
+	x         uint64 // xorshift state
+	delays    []Time // delay palette, indexed by the random draw
+}
+
+func (h *churnHandler) HandleEvent(kind uint8, a, b int64) {
+	if h.scheduled < h.n {
+		h.schedule()
+	}
+}
+
+func (h *churnHandler) schedule() {
+	h.x ^= h.x << 13
+	h.x ^= h.x >> 7
+	h.x ^= h.x << 17
+	h.scheduled++
+	h.k.AfterEvent(h.delays[h.x%uint64(len(h.delays))], h.id, 0, 0, 0)
+}
+
+// fill schedules up to depth events (fewer if n is smaller).
+func (h *churnHandler) fill(depth int) {
+	for i := 0; i < depth && h.scheduled < h.n; i++ {
+		h.schedule()
+	}
+}
+
+// churnSeed is the xorshift state every churnHandler starts from.
+const churnSeed = 0x9e3779b97f4a7c15
+
+// newChurn registers a churnHandler that will schedule n events in total,
+// with delays drawn from delays.
+func newChurn(k *Kernel, n int, delays []Time) *churnHandler {
+	h := &churnHandler{k: k, n: n, x: churnSeed, delays: delays}
+	h.id = k.RegisterHandler(h)
+	return h
+}
+
+// BenchmarkHeapChurn measures typed-event dispatch on a deep pending
+// queue, the regime of a busy fabric: 1024 events stay in flight with
+// delays between 1ns and 4µs, and the run executes exactly b.N events.
 func BenchmarkHeapChurn(b *testing.B) {
 	k := NewKernel()
-	// Pre-fill with far-future events to keep the heap deep.
-	for i := 0; i < 4096; i++ {
-		k.At(Time(1_000_000+i)*Nanosecond, func() {})
+	delays := make([]Time, 4096)
+	for i := range delays {
+		delays[i] = Time(i+1) * Nanosecond
 	}
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			k.After(Time(n%7+1)*Nanosecond, tick)
-		}
-	}
+	h := newChurn(k, b.N, delays)
+	h.fill(1024)
+	b.ReportAllocs()
 	b.ResetTimer()
-	k.At(0, tick)
-	k.RunUntil(999_999 * Nanosecond)
+	k.Run()
+	b.StopTimer()
+	if got := k.Stats().EventsExecuted; got != uint64(b.N) {
+		b.Fatalf("executed %d events, want b.N = %d", got, b.N)
+	}
 }
 
 // benchHandler self-reschedules through the typed-event fast path until

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Handler receives typed events scheduled with AtEvent/AfterEvent. It is
@@ -21,11 +22,12 @@ type Handler interface {
 type HandlerID int32
 
 // Typed-event payload packing. The whole (kind, handler, a, b) payload is
-// packed into one uint64 so the event struct is exactly 32 bytes with a
+// packed into one uint64 so the event struct stays small (24 bytes) with a
 // single pointer field: structs with pointers that stay ≤32 bytes are
 // copied with inline moves, while anything larger goes through a
 // typedmemmove call per copy — measured at 3× the per-event cost on the
-// heap's sift swaps, the hottest loop in the simulator. The packing caps a
+// former 4-ary heap's sift swaps, and the radix queue's refill copies events
+// just as often. The packing caps a
 // kernel at 256 handlers, 256 kinds per handler, and payload scalars in
 // [0, 2^24); AtEvent panics past any of these limits (they are far above
 // what any realistic fabric needs — a and b index servers and live
@@ -37,83 +39,138 @@ const (
 )
 
 // event is one scheduled callback: either a closure (fn) or, when fn is
-// nil, the packed typed payload in pay. Keep this struct at 32 bytes (see
-// above) — every push/pop sift swap copies it.
+// nil, the packed typed payload in pay. It is 24 bytes with one pointer
+// word; keep it at or under 32 (see above) — refill copies every event it
+// redistributes.
 type event struct {
 	t   Time
-	seq uint64 // tie-breaker: FIFO among equal timestamps
 	fn  func()
 	pay uint64 // kind<<56 | handler<<48 | a<<24 | b
 }
 
-// less orders events by (t, seq): deterministic FIFO among equal times.
-func (e *event) less(o *event) bool {
-	if e.t != o.t {
-		return e.t < o.t
-	}
-	return e.seq < o.seq
+// eventQueue is a monotone radix queue of future events. last is the time
+// of the most recently popped event, and the kernel never schedules before
+// now >= last, so every queued t is >= last. Event e lives in bucket
+// bits.Len64(t^last): bucket 0 holds events at exactly last, and bucket
+// i > 0 holds events whose highest bit differing from last is bit i-1.
+// Times are non-negative, so bucket 64 stays empty; the array has 65
+// entries because that is Len64's range and lets the compiler drop bounds
+// checks.
+//
+// pop drains bucket 0 FIFO. When it is empty, pop takes the lowest
+// non-empty bucket i, advances last to that bucket's minimum, and
+// redistributes the bucket into buckets below i (refill); buckets above i
+// keep their index because the new last shares every bit at or above i
+// with the old one. Each event therefore moves at most 64 times, and in
+// practice a few times, instead of paying an O(log n) sift per push and
+// per pop.
+//
+// Exact (t, scheduling order) falls out without a sequence number: pushes
+// append, refill walks its bucket front to back and appends to buckets
+// that are empty (all buckets below the lowest non-empty one are), so
+// every bucket stays in scheduling order, and equal timestamps always
+// share a bucket.
+type eventQueue struct {
+	last Time        // time of the last popped event; every queued t >= last
+	head int         // next event to pop from b[0]
+	n    int         // queued events
+	mask uint64      // bit i-1 set iff bucket i > 0 is non-empty
+	b    [65][]event // b[i]: events with bits.Len64(t^last) == i
+	low  [65]Time    // low[i]: minimum t in b[i], valid while b[i] is non-empty
 }
 
-// eventHeap is an inline 4-ary min-heap of event values. A 4-ary layout
-// halves the tree depth of sift-down (the hot operation in a DES where
-// most pushes are near-future) and avoids container/heap's interface
-// boxing; together with the same-timestamp band below it is the hottest
-// structure in the simulator.
-type eventHeap []event
+func (q *eventQueue) len() int { return q.n }
 
-//simlint:hotpath
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	s := *h
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !s[i].less(&s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
+// at reports whether an event is queued at exactly time now.
+func (q *eventQueue) at(now Time) bool { return q.head < len(q.b[0]) && q.last == now }
+
+// minTime returns the earliest queued time. The queue must be non-empty.
+func (q *eventQueue) minTime() Time {
+	if q.head < len(q.b[0]) {
+		return q.last
 	}
+	return q.low[bits.TrailingZeros64(q.mask)+1]
 }
 
+// push queues e. e.t must be >= the time of the last popped event.
+//
 //simlint:hotpath
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s[last] = event{} // release the closure for GC
-	s = s[:last]
-	*h = s
-	// Sift down.
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= len(s) {
-			break
-		}
-		min := first
-		end := first + 4
-		if end > len(s) {
-			end = len(s)
-		}
-		for c := first + 1; c < end; c++ {
-			if s[c].less(&s[min]) {
-				min = c
-			}
-		}
-		if !s[min].less(&s[i]) {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+func (q *eventQueue) push(e event) {
+	q.n++
+	q.put(e)
+}
+
+// put files e into its bucket relative to last.
+//
+//simlint:hotpath
+func (q *eventQueue) put(e event) {
+	i := bits.Len64(uint64(e.t ^ q.last))
+	q.b[i] = append(q.b[i], e)
+	if i == 0 {
+		return
 	}
-	return top
+	bit := uint64(1) << (i - 1)
+	if q.mask&bit == 0 || e.t < q.low[i] {
+		q.low[i] = e.t
+	}
+	q.mask |= bit
+}
+
+// pop removes and returns the earliest event, FIFO among equal times. The
+// queue must be non-empty.
+//
+//simlint:hotpath
+func (q *eventQueue) pop() event {
+	q.n--
+	if q.head == len(q.b[0]) {
+		i := bits.TrailingZeros64(q.mask) + 1
+		src := q.b[i]
+		q.last = q.low[i]
+		q.mask &^= 1 << (i - 1)
+		q.b[i] = src[:0]
+		if len(src) == 1 {
+			// Shallow-queue fast path: the lone event is the minimum.
+			e := src[0]
+			src[0] = event{} // release the closure for GC
+			return e
+		}
+		q.refill(src)
+	}
+	b0 := q.b[0]
+	e := b0[q.head]
+	b0[q.head] = event{} // release the closure for GC
+	q.head++
+	if q.head == len(b0) {
+		q.b[0] = b0[:0]
+		q.head = 0
+	}
+	return e
+}
+
+// refill redistributes the events of a just-emptied bucket relative to
+// the new last, in order, then clears the source slots.
+//
+//simlint:hotpath
+func (q *eventQueue) refill(src []event) {
+	for _, e := range src {
+		q.put(e)
+	}
+	clear(src) // release closures for GC
+}
+
+// reset empties the queue, keeping every bucket's capacity.
+func (q *eventQueue) reset() {
+	for i := range q.b {
+		clear(q.b[i]) // release closures for GC
+		q.b[i] = q.b[i][:0]
+	}
+	clear(q.low[:])
+	q.last, q.head, q.n, q.mask = 0, 0, 0, 0
 }
 
 // bandEntry is one event in the same-timestamp band: a callback known to
-// fire at the current virtual time, so it carries neither a timestamp nor
-// a sequence number (FIFO position in the band IS its sequence order).
+// fire at the current virtual time, so it carries no timestamp (FIFO
+// position in the band IS its scheduling order).
 type bandEntry struct {
 	fn  func()
 	pay uint64
@@ -121,17 +178,15 @@ type bandEntry struct {
 
 // band is the same-timestamp insertion band: a FIFO ring of events
 // scheduled for the CURRENT virtual time. Scheduling at t == now is the
-// hot degenerate case of a DES heap — zero-delay wakes, signal fires, and
-// proc handoffs all land there, and pushing them through the 4-ary heap
-// costs a full sift up and a full sift down each even though their
-// ordering is forced (they always run after everything already queued at
-// now, in scheduling order). The band makes them two pointer moves
-// instead. The drain rule in step preserves exact (t, seq) order: heap
-// events at the current time were all scheduled before now advanced — so
-// with strictly smaller sequence numbers than any band entry — and run
-// first; band entries then run in append order. The band fully drains
-// before virtual time advances, so the backing array is reused forever
-// after warmup.
+// hot degenerate case of a DES queue — zero-delay wakes, signal fires, and
+// proc handoffs all land there, and their ordering is forced (they always
+// run after everything already queued at now, in scheduling order), so
+// the band makes them two pointer moves with no bucket bookkeeping. The
+// drain rule in step preserves exact (t, scheduling order): queued events
+// at the current time were all scheduled before now advanced, so before
+// any band entry, and run first; band entries then run in append order.
+// The band fully drains before virtual time advances, so the backing
+// array is reused forever after warmup.
 type band struct {
 	buf  []bandEntry
 	head int
@@ -178,8 +233,7 @@ type tailCall struct {
 // or inside a Proc it controls.
 type Kernel struct {
 	now     Time
-	seq     uint64
-	events  eventHeap
+	events  eventQueue // events after now, plus those at now queued before now advanced
 	band    band       // events at t == now, FIFO (see band)
 	tail    []tailCall // deferred continuations of the current event
 	inEvent bool       // an event handler is currently executing
@@ -188,9 +242,9 @@ type Kernel struct {
 	stopped  bool
 	parked   chan struct{} //simlint:resetsafe channel identity; parked procs forbid Reset anyway (panic guard)
 	nProcs   int           //simlint:resetsafe live procs; Reset panics unless zero, so zero is preserved
-	// tieArmed is true when the clock's current reading was set by a heap
+	// tieArmed is true when the clock's current reading was set by a queued
 	// event (as opposed to an idle RunUntil advance or a fresh kernel),
-	// so a further heap event at the same reading is a genuine
+	// so a further queued event at the same reading is a genuine
 	// same-timestamp tie for KernelStats.TimestampTies.
 	tieArmed bool
 	stats    KernelStats
@@ -206,10 +260,10 @@ type KernelStats struct {
 	TailCalls    uint64
 	ProcsSpawned uint64
 	ProcSwitches uint64
-	// TimestampTies counts heap events that fired at a virtual time some
-	// earlier heap event had already fired at — i.e., members beyond the
+	// TimestampTies counts queued events that fired at a virtual time some
+	// earlier queued event had already fired at — i.e., members beyond the
 	// first of each exact-timestamp group. Such groups are the only
-	// places where scheduling order (the seq tiebreak) rather than
+	// places where scheduling order (the FIFO tiebreak) rather than
 	// physics decides execution order, which makes this the detector for
 	// "this run's outcome may depend on event-scheduling details":
 	// network.FuseLinks changes WHERE its events are scheduled, so its
@@ -232,7 +286,7 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Stats() KernelStats { return k.stats }
 
 // Pending returns the number of queued events.
-func (k *Kernel) Pending() int { return len(k.events) + k.band.len() }
+func (k *Kernel) Pending() int { return k.events.len() + k.band.len() }
 
 // panicPast reports scheduling before the current time. Outlined from the
 // schedulers so the hot typed-event path stays free of fmt in its body.
@@ -260,8 +314,7 @@ func (k *Kernel) At(t Time, fn func()) {
 		k.band.push(bandEntry{fn: fn})
 		return
 	}
-	k.seq++
-	k.events.push(event{t: t, seq: k.seq, fn: fn})
+	k.events.push(event{t: t, fn: fn})
 }
 
 // After schedules fn to run d after the current time.
@@ -299,8 +352,7 @@ func (k *Kernel) AtEvent(t Time, h HandlerID, kind uint8, a, b int64) {
 		k.band.push(bandEntry{pay: pay})
 		return
 	}
-	k.seq++
-	k.events.push(event{t: t, seq: k.seq, pay: pay})
+	k.events.push(event{t: t, pay: pay})
 }
 
 // TryTailCall defers a typed event to run as a direct continuation: it
@@ -317,7 +369,7 @@ func (k *Kernel) TryTailCall(h HandlerID, kind uint8, a, b int64) bool {
 	if !k.inEvent || !k.band.empty() {
 		return false
 	}
-	if len(k.events) > 0 && k.events[0].t == k.now {
+	if k.events.at(k.now) {
 		return false
 	}
 	k.tail = append(k.tail, tailCall{h: h, kind: kind, a: a, b: b})
@@ -361,17 +413,17 @@ func (k *Kernel) exec(fn func(), pay uint64) {
 
 // step executes the earliest event. Returns false when no events remain.
 //
-// Batch drain of the current timestamp: heap events at t == now first
-// (they were scheduled before now advanced, so they hold the smaller
-// sequence numbers), then the band in FIFO order — exact (t, seq) order
-// without one sift per zero-delay event. Virtual time advances only once
-// both are empty.
+// Batch drain of the current timestamp: queued events at t == now first
+// (they were scheduled before now advanced), then the band in FIFO order —
+// exact (t, scheduling order) without routing zero-delay events through
+// the queue. Virtual time advances only once both are empty.
 //
 //simlint:hotpath
 func (k *Kernel) step() bool {
-	if len(k.events) > 0 && k.events[0].t == k.now {
-		// A heap event at the clock's current reading: if an earlier heap
-		// event already fired at this exact time, seq order is deciding.
+	if k.events.at(k.now) {
+		// A queued event at the clock's current reading: if an earlier
+		// queued event already fired at this exact time, scheduling order
+		// is deciding.
 		if k.tieArmed {
 			k.stats.TimestampTies++
 		}
@@ -384,7 +436,7 @@ func (k *Kernel) step() bool {
 		k.exec(e.fn, e.pay)
 		return true
 	}
-	if len(k.events) == 0 {
+	if k.events.len() == 0 {
 		return false
 	}
 	e := k.events.pop()
@@ -409,7 +461,7 @@ func (k *Kernel) Run() Time {
 func (k *Kernel) RunUntil(deadline Time) Time {
 	k.stopped = false
 	for !k.stopped {
-		if k.band.empty() && (len(k.events) == 0 || k.events[0].t > deadline) {
+		if k.band.empty() && (k.events.len() == 0 || k.events.minTime() > deadline) {
 			break
 		}
 		k.step()
@@ -436,14 +488,11 @@ func (k *Kernel) Reset() {
 	if k.nProcs != 0 {
 		panic(fmt.Sprintf("sim: Reset with %d live procs", k.nProcs))
 	}
-	for i := range k.events {
-		k.events[i] = event{} // release closures for GC
-	}
-	k.events = k.events[:0]
+	k.events.reset()
 	k.band.reset()
 	k.tail = k.tail[:0]
 	k.inEvent = false
-	k.now, k.seq = 0, 0
+	k.now = 0
 	k.stopped = false
 	k.tieArmed = false
 	k.stats = KernelStats{}

@@ -259,7 +259,7 @@ func TestKernelStats(t *testing.T) {
 	}
 }
 
-// TestTimestampTies pins the tie detector's semantics: only heap events
+// TestTimestampTies pins the tie detector's semantics: only queued events
 // beyond the first of an exact-timestamp group count; deliberate
 // zero-delay continuations (the same-timestamp band) and idle RunUntil
 // clock advances do not.
@@ -268,7 +268,7 @@ func TestTimestampTies(t *testing.T) {
 	k.At(5*Nanosecond, func() {
 		k.At(k.Now(), func() {}) // zero-delay continuation: band, not a tie
 	})
-	k.At(5*Nanosecond, func() {}) // second heap event at 5ns: one tie
+	k.At(5*Nanosecond, func() {}) // second queued event at 5ns: one tie
 	k.At(5*Nanosecond, func() {}) // third: another
 	k.At(7*Nanosecond, func() {}) // fresh time: not a tie
 	k.Run()

@@ -1,7 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel owns a virtual clock measured in picoseconds and a binary-heap
-// event queue. Model code runs either as plain scheduled callbacks or as
+// The kernel owns a virtual clock measured in picoseconds and a monotone
+// radix event queue, fronted by a FIFO band for events at the current
+// time. Model code runs either as plain scheduled callbacks or as
 // coroutine Procs (goroutines that hand control back and forth with the
 // kernel, so exactly one goroutine is ever runnable). All ordering is
 // deterministic: events fire in (time, insertion sequence) order.
