@@ -1,7 +1,6 @@
 // Command simlint runs the repository's custom static-analysis suite
-// (detrand, resetcheck, hotpath, hotcall, detflow, sharecheck — see
-// DESIGN.md "Static invariants") over the module, mirroring a x/tools
-// multichecker:
+// (resetcheck, hotcall, detflow, sharecheck — see DESIGN.md "Static
+// invariants") over the module, mirroring a x/tools multichecker:
 //
 //	go run ./cmd/simlint ./...
 //

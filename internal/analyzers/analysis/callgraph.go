@@ -32,8 +32,6 @@ type CallGraph struct {
 	// Decls maps a function object back to its syntax, for analyzers
 	// that need the callee's body or doc comment.
 	Decls map[*types.Func]*ast.FuncDecl
-	// PkgOf maps a function object to the loaded package declaring it.
-	PkgOf map[*types.Func]*Package
 }
 
 // NewCallGraph returns an empty graph.
@@ -41,7 +39,6 @@ func NewCallGraph() *CallGraph {
 	return &CallGraph{
 		Sites: map[*types.Func][]CallSite{},
 		Decls: map[*types.Func]*ast.FuncDecl{},
-		PkgOf: map[*types.Func]*Package{},
 	}
 }
 
@@ -58,7 +55,6 @@ func (g *CallGraph) AddPackage(pkg *Package) {
 				continue
 			}
 			g.Decls[fn] = fd
-			g.PkgOf[fn] = pkg
 			if fd.Body == nil {
 				continue
 			}

@@ -1,27 +1,30 @@
-// Package detflow implements the simlint output-order taint analyzer.
+// Package detflow implements the simlint determinism analyzer.
 //
-// The service's headline contract is byte-identical rendered artifacts
-// — figure and table text, HTTP response bodies, /metrics exposition —
-// for a given input, across worker counts, pool warmth, and process
-// restarts. Map iteration order is the classic way that contract rots:
-// a map-range three calls below a table writer reorders rows per run,
-// and no per-package lint scope catches it, because the iteration and
-// the writer live in different packages.
+// The reproduction's headline guarantee is bit-identical results for a
+// given seed, sequential or parallel (DESIGN.md "Determinism"), and the
+// service's is byte-identical rendered artifacts — figure and table
+// text, HTTP response bodies, /metrics exposition — across worker
+// counts, pool warmth, and process restarts. One rule set polices both:
 //
-// detrand polices map iteration inside the hardcoded simulation-state
-// scope (detrand.Scope). detflow replaces that hardcoding for the
-// OUTPUT side with reachability computed from the module call graph:
-//
-//  1. Sink roots are the functions that render output — structurally,
-//     any module function with an io.Writer, http.ResponseWriter,
-//     *bytes.Buffer, or *strings.Builder parameter, plus the explicit
-//     value-returning renderers in ExtraSinks.
-//  2. Every function statically reachable from a sink root can execute
-//     during rendering; a nondeterministic iteration there can reach
-//     output bytes.
-//  3. In each reachable function (outside detrand's scope, which is
-//     already policed), flag: ranging over a map, and unsorted
-//     maps.Keys / maps.Values / maps.All reads.
+//  1. Inside the Scope packages (simulation state), anywhere in the
+//     package: time.Now — wall-clock time makes results depend on the
+//     host, virtual time comes from sim.Kernel.Now; the global math/rand
+//     functions — they draw from process-wide shared state, so every
+//     draw must come from an explicitly threaded *rand.Rand; and go and
+//     select statements — scheduling order is the runtime's choice, so
+//     concurrency lives in internal/parallel, whose merge discipline
+//     makes worker order unobservable.
+//  2. Map iteration order, in every function of a Scope package and in
+//     every function statically reachable from an output sink: ranging
+//     over a map, and unsorted maps.Keys / maps.Values / maps.All reads.
+//     A map-range three calls below a table writer reorders rows per
+//     run, and the iteration and the writer often live in different
+//     packages, so sink reachability is computed from the module call
+//     graph. Sink roots are the functions that render output —
+//     structurally, any module function with an io.Writer,
+//     http.ResponseWriter, *bytes.Buffer, or *strings.Builder
+//     parameter, plus the explicit value-returning renderers in
+//     ExtraSinks.
 //
 // The sorted-keys idiom stays silent without annotation: a range whose
 // body only collects keys into a slice that the function later sorts,
@@ -43,15 +46,49 @@ import (
 	"strings"
 
 	"repro/internal/analyzers/analysis"
-	"repro/internal/analyzers/detrand"
 )
 
 // Analyzer is the detflow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "detflow",
-	Doc: "map iteration order must not reach rendered output: flag map ranges " +
-		"and unsorted map-key reads in functions reachable from output sinks",
+	Doc: "forbid wall-clock time, global math/rand state, and goroutine scheduling in simulation " +
+		"packages, and map iteration order there or in functions reachable from output sinks",
 	RunModule: runModule,
+}
+
+// Scope lists the module-relative package paths (and their subtrees)
+// holding simulation state: every rule applies anywhere in them.
+var Scope = []string{
+	"internal/sim",
+	"internal/network",
+	"internal/routing",
+	"internal/apps",
+	"internal/mpi",
+	"internal/workload",
+	"internal/core",
+}
+
+// InScope reports whether pkgPath falls under any entry of Scope
+// (entries are matched as whole path segments, with or without the
+// module-path prefix).
+func InScope(pkgPath string) bool {
+	for _, s := range Scope {
+		if pkgPath == s || strings.HasSuffix(pkgPath, "/"+s) ||
+			strings.HasPrefix(pkgPath, s+"/") || strings.Contains(pkgPath, "/"+s+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// randConstructors are the math/rand package-level functions that build
+// explicit generators rather than touching the global one.
+var randConstructors = map[string]bool{
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true,
+	"NewChaCha8": true,
 }
 
 // WriterTypes are the parameter types that make a function a sink root:
@@ -181,7 +218,7 @@ func Reach(m *analysis.Module) map[*types.Func]*types.Func {
 
 // ReachablePackages returns the sorted module-relative paths of every
 // package holding a sink-reachable function — the computed counterpart
-// of detrand's hand-maintained Scope, which the scope-drift test keeps
+// of the hand-maintained Scope, which the scope-drift test keeps
 // consistent.
 func ReachablePackages(m *analysis.Module) []string {
 	seen := map[string]bool{}
@@ -199,64 +236,93 @@ func ReachablePackages(m *analysis.Module) []string {
 }
 
 func runModule(pass *analysis.ModulePass) error {
-	m := pass.Module
-	for fn, root := range Reach(m) {
-		if fn.Pkg() != nil && detrand.InScope(fn.Pkg().Path()) {
-			continue // detrand already polices map iteration here
+	reach := Reach(pass.Module)
+	for _, pkg := range pass.Module.Pkgs {
+		scoped := InScope(pkg.Path)
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				var root *types.Func
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+					root = reach[fn]
+				}
+				if scoped || root != nil {
+					check(pass, pkg.Info, decl, scoped, root)
+				}
+			}
 		}
-		fd := m.Graph.Decls[fn]
-		if fd == nil || fd.Body == nil {
-			continue
-		}
-		pkg := m.Graph.PkgOf[fn]
-		if pkg == nil {
-			continue
-		}
-		checkFunc(pass, pkg, fd, root)
 	}
 	return nil
 }
 
-// checkFunc applies the two iteration-order rules to one reachable
-// function.
-func checkFunc(pass *analysis.ModulePass, pkg *analysis.Package, fd *ast.FuncDecl, root *types.Func) {
-	info := pkg.Info
-	analysis.WithParents(fd.Body, func(n ast.Node, stack []ast.Node) bool {
+// check applies the rules to one declaration: the Scope rules when its
+// package is in Scope, the map-order rules either way. root is the
+// witness sink when the declaration is sink-reachable, else nil.
+func check(pass *analysis.ModulePass, info *types.Info, decl ast.Decl, scoped bool, root *types.Func) {
+	reaches := "simulation state (package in Scope)"
+	if root != nil {
+		reaches = "rendered output (reachable from " + root.Name() + ")"
+	}
+	analysis.WithParents(decl, func(n ast.Node, stack []ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.RangeStmt:
-			t := info.Types[x.X].Type
-			if t == nil {
-				return true
+			if t := info.TypeOf(x.X); t != nil && isMap(t) && !sortedKeysIdiom(info, x, decl) {
+				pass.Reportf(x.Pos(),
+					"map iteration order can reach %s; iterate sorted keys or annotate an order-insensitive reduction", reaches)
 			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if sortedKeysIdiom(info, x, fd) {
-				return true
-			}
-			pass.Reportf(x.Pos(),
-				"map iteration order can reach rendered output (reachable from %s); iterate sorted keys or annotate an order-insensitive reduction",
-				root.Name())
 		case *ast.CallExpr:
-			if !isMapsOrderRead(info, x) {
-				return true
+			if isMapsOrderRead(info, x) && !wrappedInSortedCollect(info, stack) {
+				pass.Reportf(x.Pos(),
+					"unsorted map-key read can reach %s; wrap in slices.Sorted or annotate an order-insensitive use", reaches)
 			}
-			if wrappedInSortedCollect(info, stack) {
-				return true
+		case *ast.SelectorExpr:
+			if scoped {
+				checkSelector(pass, info, x)
 			}
-			pass.Reportf(x.Pos(),
-				"unsorted map-key read can reach rendered output (reachable from %s); wrap in slices.Sorted or annotate an order-insensitive use",
-				root.Name())
+		case *ast.GoStmt:
+			if scoped {
+				pass.Reportf(x.Pos(), "go statement in a simulation package: goroutine scheduling is nondeterministic")
+			}
+		case *ast.SelectStmt:
+			if scoped {
+				pass.Reportf(x.Pos(), "select statement in a simulation package: case choice is nondeterministic")
+			}
 		}
 		return true
 	})
 }
 
+func isMap(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// checkSelector flags uses of time.Now and of math/rand's global-state
+// package-level functions.
+func checkSelector(pass *analysis.ModulePass, info *types.Info, sel *ast.SelectorExpr) {
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return
+	}
+	switch fn.Pkg().Path() {
+	case "time":
+		if fn.Name() == "Now" {
+			pass.Reportf(sel.Pos(),
+				"time.Now in simulation code: results would depend on the host clock; use the kernel's virtual time")
+		}
+	case "math/rand", "math/rand/v2":
+		if !randConstructors[fn.Name()] {
+			pass.Reportf(sel.Pos(),
+				"global math/rand.%s draws from shared process-wide state; use an explicit per-run *rand.Rand stream", fn.Name())
+		}
+	}
+}
+
 // sortedKeysIdiom recognizes the canonical deterministic pattern: the
 // range body does nothing but append the key to a slice, and the
-// function later passes that slice to a sort call — order randomness
-// dies in the sort.
-func sortedKeysIdiom(info *types.Info, rng *ast.RangeStmt, fd *ast.FuncDecl) bool {
+// enclosing declaration later passes that slice to a sort call — order
+// randomness dies in the sort.
+func sortedKeysIdiom(info *types.Info, rng *ast.RangeStmt, decl ast.Decl) bool {
 	key, ok := rng.Key.(*ast.Ident)
 	if !ok || rng.Value != nil || len(rng.Body.List) != 1 {
 		return false
@@ -287,9 +353,9 @@ func sortedKeysIdiom(info *types.Info, rng *ast.RangeStmt, fd *ast.FuncDecl) boo
 	if slice == nil || analysis.ObjectOf(info, dst) != slice {
 		return false
 	}
-	// The collected slice must be sorted somewhere in this function.
+	// The collected slice must be sorted somewhere in the declaration.
 	sorted := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(decl, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || sorted {
 			return !sorted

@@ -8,16 +8,16 @@ import (
 
 	"repro/internal/analyzers/analysis"
 	"repro/internal/analyzers/detflow"
-	"repro/internal/analyzers/detrand"
 )
 
-// policedByDetflow lists the module packages that are reachable from
-// output sinks but deliberately NOT in detrand.Scope: rendering and
-// aggregation layers where detflow's sink-reachability is the right
-// (and sufficient) determinism gate. Every entry carries its
-// justification; a stale entry (no longer reachable) fails the test so
-// the list cannot rot.
-var policedByDetflow = map[string]string{
+// reachableOutsideScope lists the module packages that are reachable
+// from output sinks but deliberately NOT in detflow.Scope: rendering
+// and aggregation layers where the map-order rules on sink-reachable
+// functions are the right (and sufficient) determinism gate, and the
+// simulation-state rules (wall clock, global RNG, goroutines) do not
+// apply. Every entry carries its justification; a stale entry (no
+// longer reachable) fails the test so the list cannot rot.
+var reachableOutsideScope = map[string]string{
 	"internal/autoperf":    "digest/report layer feeding figure and service renderers",
 	"internal/experiments": "campaign runner: builds and writes figures and tables",
 	"internal/ldms":        "sampler CSV export writes rendered rows",
@@ -29,14 +29,13 @@ var policedByDetflow = map[string]string{
 	"internal/viz":         "figure/table renderers are sink roots themselves (ExtraSinks)",
 }
 
-// TestScopeDrift ties detrand's hand-maintained Scope to detflow's
-// computed sink-reachability over the real module. The invariant:
-// every package holding a function statically reachable from an output
-// sink is policed by exactly one of the two analyzers — detrand (the
-// simulation-state scope) or detflow (the justified rendering layers
-// above). A new package showing up here means a conscious choice:
-// extend detrand.Scope, or document why detflow's reachability rules
-// suffice.
+// TestScopeDrift ties detflow's hand-maintained Scope to its computed
+// sink-reachability over the real module. The invariant: every package
+// holding a function statically reachable from an output sink is either
+// in Scope (simulation state, every rule applies package-wide) or in
+// reachableOutsideScope with a justification. A new package showing up
+// here means a conscious choice: extend Scope, or document why the
+// reachable-function map-order rules suffice.
 func TestScopeDrift(t *testing.T) {
 	moduleDir, err := filepath.Abs("../../..")
 	if err != nil {
@@ -74,28 +73,27 @@ func TestScopeDrift(t *testing.T) {
 	seen := map[string]bool{}
 	for _, pkg := range reachable {
 		seen[pkg] = true
-		if detrand.InScope("repro/" + pkg) {
-			continue // detrand polices simulation state
+		if detflow.InScope("repro/" + pkg) {
+			continue // simulation state
 		}
-		if _, ok := policedByDetflow[pkg]; ok {
-			continue // justified rendering layer, policed by detflow
+		if _, ok := reachableOutsideScope[pkg]; ok {
+			continue // justified rendering layer
 		}
-		t.Errorf("package %q is reachable from output sinks but policed by neither analyzer:\n"+
-			"  add it to detrand.Scope (simulation state) or to policedByDetflow with a justification",
+		t.Errorf("package %q is reachable from output sinks but neither in Scope nor justified:\n"+
+			"  add it to detflow.Scope (simulation state) or to reachableOutsideScope with a justification",
 			pkg)
 	}
-	for pkg := range policedByDetflow {
+	for pkg := range reachableOutsideScope {
 		if !seen[pkg] {
-			t.Errorf("policedByDetflow entry %q is stale: no longer reachable from any output sink", pkg)
+			t.Errorf("reachableOutsideScope entry %q is stale: no longer reachable from any output sink", pkg)
 		}
 	}
 
-	// Renames/deletions in detrand's scope must not rot silently either:
-	// every scope entry (bar the concurrency exemption) names a package
-	// that still exists in the module.
-	for _, scoped := range detrand.Scope {
+	// Renames/deletions in Scope must not rot silently either: every
+	// entry names a package that still exists in the module.
+	for _, scoped := range detflow.Scope {
 		if m.Package("repro/"+scoped) == nil {
-			t.Errorf("detrand.Scope entry %q names a package that no longer exists", scoped)
+			t.Errorf("detflow.Scope entry %q names a package that no longer exists", scoped)
 		}
 	}
 }

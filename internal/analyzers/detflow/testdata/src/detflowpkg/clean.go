@@ -41,8 +41,8 @@ func allowedTotal(w io.Writer, counts map[string]int) {
 	}
 }
 
-// offline never reaches a sink: map iteration here is invisible to
-// rendered output, so detflow stays silent (detrand's scope, not ours).
+// offline never reaches a sink and its package is outside Scope: map
+// iteration here is invisible to simulation state and rendered output.
 func offline(counts map[string]int) int {
 	total := 0
 	for _, n := range counts {

@@ -26,12 +26,26 @@ func hotLeaf(buf []int) int {
 	return len(buf)
 }
 
-// okHot exercises every silent edge: a clean helper, a cold-with-reason
-// helper, another hot function, and an allowed call site.
+// sumTo is unannotated and binds a call-only local literal — the
+// routing engine's consider pattern, which the compiler keeps on the
+// stack — so its summary stays clean.
+func sumTo(n int) int {
+	total := 0
+	add := func(d int) { total += d }
+	for i := 0; i < n; i++ {
+		add(i)
+	}
+	return total
+}
+
+// okHot exercises every silent edge: a clean helper, a helper with a
+// call-only literal, a cold-with-reason helper, another hot function,
+// and an allowed call site.
 //
 //simlint:hotpath
 func okHot(buf []int, n int) int {
 	buf = fill(buf, n)
+	n += sumTo(n)
 	if n < 0 {
 		coldPanic(n)
 	}

@@ -16,9 +16,9 @@ func indirect(n int) int {
 	return len(grow(n))
 }
 
-// step is the regression class hotcall exists to close: its own body
-// satisfies every per-function hotpath rule (it is just a call), but
-// the callee allocates — per-function analysis accepts this.
+// step is the regression class the call-edge check exists to close:
+// its own body is clean (it is just a call), but the callee allocates —
+// a body-only check accepts this.
 //
 //simlint:hotpath
 func step(n int) int {

@@ -89,7 +89,6 @@ func nekNeighbors(rank, n int, seed int64) []int {
 		add((rank - stride + n) % n)
 	}
 	out := make([]int, 0, len(set))
-	//simlint:allow detrand collection order erased by sort.Ints below
 	for p := range set {
 		out = append(out, p)
 	}

@@ -55,7 +55,7 @@ func (p *Profile) add(call string, bytes int, elapsed sim.Time) {
 // MPITime returns total time across all MPI calls.
 func (p *Profile) MPITime() sim.Time {
 	var t sim.Time
-	//simlint:allow detrand commutative sum; iteration order cannot reach the result
+	//simlint:allow detflow commutative sum; iteration order cannot reach the result
 	for _, s := range p.ByCall {
 		t += s.Time
 	}
@@ -67,7 +67,7 @@ func (p *Profile) TotalTime() sim.Time { return p.MPITime() + p.ComputeTime }
 
 // Merge adds other's counts into p (used to aggregate across ranks).
 func (p *Profile) Merge(other *Profile) {
-	//simlint:allow detrand per-key commutative accumulation; visit order cannot reach the result
+	//simlint:allow detflow per-key commutative accumulation; visit order cannot reach the result
 	for call, s := range other.ByCall {
 		d := p.ByCall[call]
 		if d == nil {
@@ -85,7 +85,6 @@ func (p *Profile) Merge(other *Profile) {
 // "MPI Call 1/2/3" columns in Table I).
 func (p *Profile) TopCalls(n int) []string {
 	names := make([]string, 0, len(p.ByCall))
-	//simlint:allow detrand collection order erased by the total sort.Slice order below (time, then name)
 	for name := range p.ByCall {
 		names = append(names, name)
 	}

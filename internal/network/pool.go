@@ -57,9 +57,9 @@ func (pl *packetPool) reset() {
 	pl.stats = PoolStats{}
 }
 
-// get returns a reset packet. With recycle disabled (Params.NoRecycle) it
-// always allocates, which is the reference behaviour the pool property
-// tests compare against.
+// allocPacket returns a reset packet. With recycle disabled
+// (Params.NoRecycle) it always allocates, which is the reference
+// behaviour the pool property tests compare against.
 //
 //simlint:hotpath
 func (f *Fabric) allocPacket() *Packet {
@@ -78,9 +78,16 @@ func (f *Fabric) allocPacket() *Packet {
 		p.reset()
 		return p
 	}
-	p := &Packet{idx: int32(len(pool.arena)), hop: -1}
-	pool.arena = append(pool.arena, p)
-	pool.next = len(pool.arena)
+	return pool.grow()
+}
+
+// grow appends a new packet to the arena and issues it.
+//
+//simlint:cold arena growth: runs only until the pool reaches its high-water mark
+func (pl *packetPool) grow() *Packet {
+	p := &Packet{idx: int32(len(pl.arena)), hop: -1}
+	pl.arena = append(pl.arena, p)
+	pl.next = len(pl.arena)
 	return p
 }
 

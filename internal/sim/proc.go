@@ -39,7 +39,7 @@ func (k *Kernel) SpawnAt(t Time, fn func(p *Proc)) *Proc {
 	p.resumeFn = func() { k.switchTo(p) }
 	k.nProcs++
 	k.stats.ProcsSpawned++
-	//simlint:allow detrand coroutine handoff: exactly one of (kernel, proc) runs at a time, order fixed by the event queue
+	//simlint:allow detflow coroutine handoff: exactly one of (kernel, proc) runs at a time, order fixed by the event queue
 	go func() {
 		<-p.resume // wait for the kernel to hand us control the first time
 		fn(p)

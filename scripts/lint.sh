@@ -6,8 +6,8 @@
 #                   are gofmt-stable; drift here usually means a hand
 #                   edit skipped gofmt)
 #   2. go vet     — the stock toolchain analyzers
-#   3. simlint    — the repo's own analyzer suite (detrand, resetcheck,
-#                   hotpath, hotcall, detflow, sharecheck); see
+#   3. simlint    — the repo's own analyzer suite (resetcheck, hotcall,
+#                   detflow, sharecheck); see
 #                   internal/analyzers and DESIGN.md "Static invariants".
 #                   Built once and run as a binary — the module driver
 #                   loads the whole tree in one pass, so one process
