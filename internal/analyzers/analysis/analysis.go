@@ -40,7 +40,7 @@ type Analyzer struct {
 	// package's objects are visible here.
 	Run func(*Pass) error
 	// RunModule, if set, runs once after every package pass with the
-	// whole module — full package list, call graph, fact store — for
+	// whole module — full package list and call graph — for
 	// analyses whose scope cannot be expressed package-by-package
 	// (reverse reachability from sinks, cross-package sharing).
 	RunModule func(*ModulePass) error
@@ -67,7 +67,7 @@ type Pass struct {
 }
 
 // ExportObjectFact attaches fact to obj for importing packages'
-// passes (and module passes) to consume.
+// passes to consume.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	p.Module.facts.exportObject(p.Analyzer, obj, fact)
 }
@@ -76,25 +76,6 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 // exported on obj into *ptr, reporting whether one existed.
 func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 	return p.Module.facts.importObject(p.Analyzer, obj, ptr)
-}
-
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.Module.facts.exportPackage(p.Analyzer, p.Pkg, fact)
-}
-
-// ImportPackageFact copies pkg's fact of ptr's concrete type into *ptr.
-func (p *Pass) ImportPackageFact(pkg *types.Package, ptr Fact) bool {
-	return p.Module.facts.importPackage(p.Analyzer, pkg, ptr)
-}
-
-// ObjectFact and PackageFact are available on module passes too.
-func (p *ModulePass) ImportObjectFact(obj types.Object, ptr Fact) bool {
-	return p.Module.facts.importObject(p.Analyzer, obj, ptr)
-}
-
-func (p *ModulePass) ImportPackageFact(pkg *types.Package, ptr Fact) bool {
-	return p.Module.facts.importPackage(p.Analyzer, pkg, ptr)
 }
 
 // Diagnostic is one finding at one position.

@@ -141,7 +141,7 @@ func (m *Module) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // ModulePass is the whole-module counterpart of Pass, handed to
 // Analyzer.RunModule after every package pass has completed: the full
-// package list, the call graph, and the accumulated fact store.
+// package list and the call graph.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Module   *Module

@@ -1,6 +1,8 @@
 package share
 
 import (
+	"context"
+
 	"internal/core"
 	"internal/parallel"
 )
@@ -56,6 +58,20 @@ func perWorkerMachines(machines []*core.Machine) error {
 		machines[worker].Run()
 		return nil
 	})
+}
+
+// perWorkerReduce is the sanctioned pattern on the streaming runner:
+// the worker closure indexes machines by its worker parameter, and the
+// fold accumulates caller state.
+func perWorkerReduce(machines []*core.Machine) (int, error) {
+	total := 0
+	err := parallel.ReduceContext(context.Background(), 2, 8,
+		func(worker, index int) (int, error) {
+			machines[worker].Run()
+			return index, nil
+		},
+		func(index int, v int) { total += v })
+	return total, err
 }
 
 // allowedPostWait writes after the spawn, but the channel receive

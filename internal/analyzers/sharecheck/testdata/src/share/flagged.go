@@ -1,6 +1,8 @@
 package share
 
 import (
+	"context"
+
 	"internal/core"
 	"internal/parallel"
 )
@@ -76,4 +78,17 @@ func workerBadIndex(machines []*core.Machine) error {
 		machines[index].Run() // want "worker parameter"
 		return nil
 	})
+}
+
+// reduceCapturedMachine shares one machine between the workers of the
+// streaming runner; the fold closure is caller state and stays silent.
+func reduceCapturedMachine(machines []*core.Machine) error {
+	m := machines[0]
+	total := 0
+	return parallel.ReduceContext(context.Background(), 2, 8,
+		func(worker, index int) (int, error) {
+			m.Run() // want "captured by worker closure"
+			return index, nil
+		},
+		func(index int, v int) { total += v })
 }

@@ -24,13 +24,20 @@ func testProfile() Profile {
 	p.Name = "test"
 	p.Workers = runtime.NumCPU()
 	if testing.Short() {
-		p.Runs = 1
-		p.CampaignWindow = 6 * sim.Millisecond
-		p.LDMSPeriod = 2 * sim.Millisecond
-		for app, n := range p.Iterations {
-			if n > 1 {
-				p.Iterations[app] = (n + 1) / 2
-			}
+		p = shrink(p)
+	}
+	return p
+}
+
+// shrink cuts a profile to one run per mode, halved iteration counts and
+// short campaign windows: every harness still runs end to end.
+func shrink(p Profile) Profile {
+	p.Runs = 1
+	p.CampaignWindow = 6 * sim.Millisecond
+	p.LDMSPeriod = 2 * sim.Millisecond
+	for app, n := range p.Iterations {
+		if n > 1 {
+			p.Iterations[app] = (n + 1) / 2
 		}
 	}
 	return p

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/stats"
 )
@@ -53,7 +55,8 @@ func Fig2MILCRuntimePDF(p Profile, seed int64) (*Fig2Result, error) {
 	for _, a := range []apps.App{apps.MILC{}, apps.MILC{Reorder: true}} {
 		all := stats.NewAgg()
 		perModeAgg := map[routing.Mode]*stats.Agg{}
-		err := productionReduce(mp, p, a, p.NodesMedium, modes, seed,
+		err := productionReduce(context.Background(), mp, p, a, p.NodesMedium,
+			modes, core.DefaultBackground(), seed,
 			func(idx int, s *Sample) {
 				res.Samples = append(res.Samples, s.Compact())
 				all.Add(s.RuntimeSec)

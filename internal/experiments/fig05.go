@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/sim"
 )
@@ -66,8 +68,9 @@ func Fig5MILCBreakdown(p Profile, seed int64) (*BreakdownResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	samples, err := productionSamples(mp, p, milcApp(), p.NodesMedium,
-		[]routing.Mode{routing.AD0, routing.AD3}, seed)
+	samples, err := p.SamplesOn(context.Background(), mp.machines, milcApp(),
+		p.NodesMedium, []routing.Mode{routing.AD0, routing.AD3},
+		core.DefaultBackground(), seed)
 	if err != nil {
 		return nil, err
 	}

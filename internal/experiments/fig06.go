@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -54,8 +56,9 @@ func Fig6MILCTileRatios(p Profile, seed int64) (*Fig6Result, error) {
 		return nil, err
 	}
 	res := &Fig6Result{App: "MILC", Nodes: p.NodesMedium, Ratios: tileAggs{}}
-	err = productionReduce(mp, p, milcApp(), p.NodesMedium,
-		[]routing.Mode{routing.AD0, routing.AD3}, seed,
+	err = productionReduce(context.Background(), mp, p, milcApp(),
+		p.NodesMedium, []routing.Mode{routing.AD0, routing.AD3},
+		core.DefaultBackground(), seed,
 		func(idx int, s *Sample) {
 			foldTileRatios(res.Ratios, s)
 		})

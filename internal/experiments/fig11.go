@@ -61,8 +61,9 @@ func Fig11RegimeComparison(p Profile, seed int64) (*Fig11Result, error) {
 
 		// Production: noisy machine.
 		prodAgg := res.regimeAgg(mode, RegimeProduction)
-		err := productionReduce(mp, p, milcApp(), p.NodesMedium,
-			[]routing.Mode{mode}, seed, func(idx int, s *Sample) {
+		err := productionReduce(context.Background(), mp, p, milcApp(),
+			p.NodesMedium, []routing.Mode{mode}, core.DefaultBackground(), seed,
+			func(idx int, s *Sample) {
 				prodAgg.AddAll(networkTileRatios(s))
 			})
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -44,16 +45,29 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
+// renderArtifact runs the registry entry that renders name and returns
+// that artifact's text: the path cmd/reproduce takes.
+func renderArtifact(t *testing.T, name string, p Profile, seed int64) string {
+	t.Helper()
+	for _, c := range Campaigns {
+		if i := slices.Index(c.Names, name); i >= 0 {
+			rs, err := c.Run(p, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rs[i].Render()
+		}
+	}
+	t.Fatalf("no campaign renders %q", name)
+	return ""
+}
+
 func TestGoldenFig1CCDF(t *testing.T) {
-	checkGolden(t, "fig1", Fig1JobSizes(goldenProfile(), 1).Render())
+	checkGolden(t, "fig1", renderArtifact(t, "fig1", goldenProfile(), 1))
 }
 
 func TestGoldenTable1(t *testing.T) {
-	r, err := Table1Characterization(goldenProfile(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "table1", r.Render())
+	checkGolden(t, "table1", renderArtifact(t, "table1", goldenProfile(), 1))
 }
 
 func TestGoldenFig6TileRatios(t *testing.T) {

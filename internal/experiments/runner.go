@@ -146,59 +146,23 @@ func (p Profile) jobSpec(app apps.App, nodes int, mode routing.Mode,
 	}
 }
 
-// productionSamples runs p.Runs production runs per mode, fanned out over
-// the pool's workers. Run i of every mode shares a seed, so the placement
-// (a fragmented allocation spanning a seed-chosen number of groups) and
-// the background noise are identical across modes — only the instrumented
-// job's routing differs, exactly the paper's production methodology (the
-// rest of the system stays on the default AD0).
+// productionReduce is the streaming core of the production campaign:
+// p.Runs production runs per mode, fanned out over the pool's workers.
+// Run i of every mode shares a seed, so the placement (a fragmented
+// allocation spanning a seed-chosen number of groups) and the background
+// noise are identical across modes — only the instrumented job's routing
+// differs, exactly the paper's production methodology (the rest of the
+// system stays on the default AD0).
 //
 // Every (run, mode) pair is one independent task on its worker's own
-// Machine; results are merged in (run, mode) order, so the sample slice is
-// identical to what the sequential nested loop produced.
-func productionSamples(mp *machinePool, p Profile, app apps.App, nodes int,
-	modes []routing.Mode, seedBase int64) ([]Sample, error) {
-
-	return productionSamplesCtx(context.Background(), mp, p, app, nodes,
-		modes, core.DefaultBackground(), seedBase)
-}
-
-// productionSamplesCtx is the list-building wrapper over the streaming
-// core: it retains one compact (Report-free) sample per task, in seed
-// order. On error the returned slice holds the successful prefix/suffix
-// samples in order (failed tasks contribute nothing); callers that need
-// all-or-nothing semantics discard it when err != nil.
-func productionSamplesCtx(ctx context.Context, mp *machinePool, p Profile,
-	app apps.App, nodes int, modes []routing.Mode, bg *core.BackgroundSpec,
-	seedBase int64) ([]Sample, error) {
-
-	out := make([]Sample, 0, p.Runs*len(modes))
-	err := productionReduceCtx(ctx, mp, p, app, nodes, modes, bg, seedBase,
-		func(idx int, s *Sample) {
-			out = append(out, s.Compact())
-		})
-	return out, err
-}
-
-// productionReduce is productionReduceCtx under the default background
-// and context — the entry the figure/table folds use.
-func productionReduce(mp *machinePool, p Profile, app apps.App, nodes int,
-	modes []routing.Mode, seedBase int64, fold func(idx int, s *Sample)) error {
-
-	return productionReduceCtx(context.Background(), mp, p, app, nodes,
-		modes, core.DefaultBackground(), seedBase, fold)
-}
-
-// productionReduceCtx is the streaming core of the production campaign:
-// each (run, mode) task executes on its worker's machine and its full
-// Sample — Report attached, Reduced digest already built — is handed to
-// fold in strict (run, mode) order, exactly the order the sequential
-// nested loop would produce. The Report reference is dropped as soon as
-// fold returns, so with parallel.ReduceContext's bounded reordering
-// window the campaign retains O(workers) Reports at any moment, no
-// matter how many runs it has. fold must not keep s.Report (or s itself)
-// past its return; retain s.Compact() instead.
-func productionReduceCtx(ctx context.Context, mp *machinePool, p Profile,
+// Machine, and its full Sample — Report attached, Reduced digest already
+// built — is handed to fold in strict (run, mode) order, exactly the
+// order the sequential nested loop would produce. The Report reference
+// is dropped as soon as fold returns, so with parallel.ReduceContext's
+// bounded reordering window the campaign retains O(workers) Reports at
+// any moment, no matter how many runs it has. fold must not keep
+// s.Report (or s itself) past its return; retain s.Compact() instead.
+func productionReduce(ctx context.Context, mp *machinePool, p Profile,
 	app apps.App, nodes int, modes []routing.Mode, bg *core.BackgroundSpec,
 	seedBase int64, fold func(idx int, s *Sample)) error {
 
@@ -238,28 +202,38 @@ func productionReduceCtx(ctx context.Context, mp *machinePool, p Profile,
 		})
 }
 
-// SamplesOn runs the production-style campaign on caller-owned machines —
-// the entry point the simd service layer drives. The machines must share
-// one configuration; len(machines) sets the fan-out, and each machine is
-// rewound warm across the runs assigned to its slot exactly as the batch
-// pool does, so results are byte-identical to a batch campaign with the
-// same arguments. Samples come back compact: the full per-run
+// SamplesOn runs the production-style campaign on caller-owned machines
+// and returns one compact (Report-free) sample per (run, mode) task, in
+// seed order. It is the list-building entry to productionReduce: the simd
+// service layer drives it, and so do ProductionEnsemble and Fig. 5. The
+// machines must share one configuration; len(machines) sets the fan-out,
+// and each machine is rewound warm across the runs assigned to its slot
+// exactly as the batch pool does, so results are byte-identical to a
+// batch campaign with the same arguments. The full per-run
 // autoperf.Report is digested into Sample.Reduced on the worker and
 // dropped, so a long-lived service process retains fixed-size samples.
-// Cancelling ctx stops undispatched runs and returns ctx's error; runs
-// already simulating complete first and their samples are kept.
+// On error the returned slice holds the successful samples in order
+// (failed tasks contribute nothing); callers that need all-or-nothing
+// semantics discard it. Cancelling ctx stops undispatched runs and
+// returns ctx's error; runs already simulating complete first and their
+// samples are kept.
 func (p Profile) SamplesOn(ctx context.Context, machines []*core.Machine,
 	app apps.App, nodes int, modes []routing.Mode, bg *core.BackgroundSpec,
 	seedBase int64) ([]Sample, error) {
 
-	return productionSamplesCtx(ctx, &machinePool{machines: machines}, p,
-		app, nodes, modes, bg, seedBase)
+	out := make([]Sample, 0, p.Runs*len(modes))
+	err := productionReduce(ctx, &machinePool{machines: machines}, p, app,
+		nodes, modes, bg, seedBase, func(idx int, s *Sample) {
+			out = append(out, s.Compact())
+		})
+	return out, err
 }
 
 // ProductionEnsemble is the exported entry to one app's production
-// campaign: p.Runs seeded runs per mode, fanned out over p.Workers
-// workers and merged in seed order. It is what the root-level ensemble
-// benchmarks and the determinism regression tests drive.
+// campaign: p.Runs seeded runs per mode under the default background,
+// fanned out over p.Workers workers and merged in seed order. It is what
+// the root-level ensemble benchmarks and the determinism regression
+// tests drive.
 func ProductionEnsemble(p Profile, app apps.App, nodes int,
 	modes []routing.Mode, seedBase int64) ([]Sample, error) {
 
@@ -267,7 +241,8 @@ func ProductionEnsemble(p Profile, app apps.App, nodes int,
 	if err != nil {
 		return nil, err
 	}
-	return productionSamples(mp, p, app, nodes, modes, seedBase)
+	return p.SamplesOn(context.Background(), mp.machines, app, nodes, modes,
+		core.DefaultBackground(), seedBase)
 }
 
 // isolatedSample runs one app alone on an otherwise idle machine.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"reflect"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/routing"
 )
 
@@ -31,7 +33,8 @@ func TestEnsembleWarmPoolArtifactBytes(t *testing.T) {
 	campaign := func() ([]Sample, *Fig6Result) {
 		tiles := tileAggs{}
 		var samples []Sample
-		err := productionReduce(mp, p, app, p.NodesMedium, modes, 42,
+		err := productionReduce(context.Background(), mp, p, app, p.NodesMedium,
+			modes, core.DefaultBackground(), 42,
 			func(idx int, s *Sample) {
 				samples = append(samples, s.Compact())
 				foldTileRatios(tiles, s)

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/stats"
 )
@@ -49,7 +51,8 @@ func Table2AllApps(p Profile, seed int64) (*Table2Result, error) {
 			rt[m], mpiT[m] = stats.NewAgg(), stats.NewAgg()
 		}
 		isMILC := a.Name() == milcApp().Name()
-		err := productionReduce(mp, p, a, p.NodesMedium, modes, seed,
+		err := productionReduce(context.Background(), mp, p, a, p.NodesMedium,
+			modes, core.DefaultBackground(), seed,
 			func(idx int, s *Sample) {
 				res.Samples = append(res.Samples, s.Compact())
 				rt[s.Mode].Add(s.RuntimeSec)

@@ -133,11 +133,13 @@ func TestMapZeroTasks(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
+// TestMapNoResultTasks covers tasks run for their effect only: every
+// task runs once and a failing task's error is returned.
+func TestMapNoResultTasks(t *testing.T) {
 	var count atomic.Int64
-	if err := ForEach(4, 25, func(worker, index int) error {
+	if _, err := Map(4, 25, func(worker, index int) (struct{}, error) {
 		count.Add(1)
-		return nil
+		return struct{}{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -145,80 +147,75 @@ func TestForEach(t *testing.T) {
 		t.Fatalf("count = %d", count.Load())
 	}
 	boom := errors.New("boom")
-	if err := ForEach(4, 5, func(worker, index int) error {
+	if _, err := Map(4, 5, func(worker, index int) (struct{}, error) {
 		if index == 2 {
-			return boom
+			return struct{}{}, boom
 		}
-		return nil
+		return struct{}{}, nil
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
-// TestMapContextAlreadyCancelled pins the caller-cancels contract at its
-// boundary: with a context that is done before the map starts, no task
-// runs at all, yet the returned slice still has length n with every index
-// holding the zero value and the context's error reported.
-func TestMapContextAlreadyCancelled(t *testing.T) {
+// TestReduceContextAlreadyCancelled pins the caller-cancels contract at
+// its boundary: with a context that is done before the reduction starts,
+// no task runs and nothing is folded, yet the context's error is
+// reported, on both the inline and the pooled path.
+func TestReduceContextAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 8} {
-		out, err := MapContext(ctx, workers, 10, func(worker, index int) (int, error) {
+		err := ReduceContext(ctx, workers, 10, func(worker, index int) (int, error) {
 			t.Errorf("workers=%d: task %d ran after cancellation", workers, index)
 			return -1, nil
+		}, func(index int, v int) {
+			t.Errorf("workers=%d: index %d folded after cancellation", workers, index)
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err=%v, want context.Canceled", workers, err)
 		}
-		if len(out) != 10 {
-			t.Fatalf("workers=%d: len(out)=%d, want 10", workers, len(out))
-		}
-		for i, v := range out {
-			if v != 0 {
-				t.Fatalf("workers=%d: out[%d]=%d, want zero value", workers, i, v)
-			}
-		}
 	}
 }
 
-// TestMapContextCancelMidMapSequential cancels from inside a task on the
-// inline path: tasks before the cancellation point keep their results,
-// tasks after it are skipped with the context's error, and the lowest
-// failing index's error (the cancellation) is what Map returns.
-func TestMapContextCancelMidMapSequential(t *testing.T) {
+// TestReduceContextCancelMidRunSequential cancels from inside a task on
+// the inline path: tasks up to the cancellation point are folded, tasks
+// after it are skipped with the context's error, and the lowest failing
+// index's error (the cancellation) is what ReduceContext returns.
+func TestReduceContextCancelMidRunSequential(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	out, err := MapContext(ctx, 1, 10, func(worker, index int) (int, error) {
+	var folded []int
+	err := ReduceContext(ctx, 1, 10, func(worker, index int) (int, error) {
 		if index == 3 {
 			cancel()
 		}
 		return index * 10, nil
+	}, func(index int, v int) {
+		if v != index*10 {
+			t.Fatalf("fold(%d) got %d, want %d", index, v, index*10)
+		}
+		folded = append(folded, index)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled", err)
 	}
-	for i := 0; i <= 3; i++ {
-		if out[i] != i*10 {
-			t.Fatalf("out[%d]=%d, want %d (completed before cancel)", i, out[i], i*10)
-		}
-	}
-	for i := 4; i < 10; i++ {
-		if out[i] != 0 {
-			t.Fatalf("out[%d]=%d, want zero value (skipped)", i, out[i])
-		}
+	if want := []int{0, 1, 2, 3}; fmt.Sprint(folded) != fmt.Sprint(want) {
+		t.Fatalf("folded %v, want %v (completed before cancel)", folded, want)
 	}
 }
 
-// TestMapContextCancelMidMapParallel is the pooled-path version: park one
-// task per worker on a gate, cancel, then release the gate. The parked
-// tasks must run to completion and keep their results (a DES run cannot
-// be preempted), while every unclaimed index fails with the context's
-// error and the zero value.
-func TestMapContextCancelMidMapParallel(t *testing.T) {
+// TestReduceContextCancelMidRunParallel is the pooled-path version: park
+// one task per worker on a gate, cancel, then release the gate. The
+// parked tasks must run to completion and be folded (a DES run cannot be
+// preempted), while every unclaimed index fails with the context's error
+// and is never folded.
+func TestReduceContextCancelMidRunParallel(t *testing.T) {
 	const workers, n = 4, 20
 	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{}, workers)
+	// Sized to n so that a task wrongly started after cancellation never
+	// blocks: the test then fails on the fold count instead of hanging.
+	started := make(chan struct{}, n)
 	release := make(chan struct{})
-	// MapContext is synchronous, so the coordinator runs alongside it:
+	// ReduceContext is synchronous, so the coordinator runs alongside it:
 	// once every worker has claimed its first task, cancel, then let the
 	// parked tasks finish.
 	go func() {
@@ -228,33 +225,25 @@ func TestMapContextCancelMidMapParallel(t *testing.T) {
 		cancel()
 		close(release)
 	}()
-	out, err := MapContext(ctx, workers, n, func(worker, index int) (int, error) {
+	var folded []int
+	err := ReduceContext(ctx, workers, n, func(worker, index int) (int, error) {
 		started <- struct{}{}
 		<-release
 		return index + 100, nil
+	}, func(index int, v int) {
+		if v != index+100 {
+			t.Fatalf("fold(%d) got %d, want %d", index, v, index+100)
+		}
+		folded = append(folded, index)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled", err)
 	}
-	if len(out) != n {
-		t.Fatalf("len(out)=%d, want %d", len(out), n)
-	}
 	// The first `workers` indices were claimed before cancellation (the
-	// atomic counter hands out 0..workers-1 first) and must have
-	// completed; everything after was skipped with the zero value.
-	completed := 0
-	for i, v := range out {
-		switch v {
-		case i + 100:
-			completed++
-		case 0:
-			// skipped by cancellation
-		default:
-			t.Fatalf("out[%d]=%d, want %d or zero", i, v, i+100)
-		}
-	}
-	if completed != workers {
-		t.Fatalf("completed tasks = %d, want exactly %d (one in flight per worker)", completed, workers)
+	// atomic counter hands out 0..workers-1 first) and must have been
+	// folded; everything after was skipped.
+	if want := []int{0, 1, 2, 3}; fmt.Sprint(folded) != fmt.Sprint(want) {
+		t.Fatalf("folded %v, want exactly %v (one in flight per worker)", folded, want)
 	}
 }
 
@@ -270,7 +259,7 @@ func TestWorkers(t *testing.T) {
 func TestReduceFoldsInIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		var got []int
-		err := Reduce(workers, 50, func(worker, index int) (int, error) {
+		err := ReduceContext(context.Background(), workers, 50, func(worker, index int) (int, error) {
 			return index * 3, nil
 		}, func(index int, v int) {
 			if v != index*3 {
@@ -298,7 +287,7 @@ func TestReduceBoundedPending(t *testing.T) {
 	// and assert the high-water mark.
 	const workers, n = 4, 200
 	var live, peak atomic.Int64
-	err := Reduce(workers, n, func(worker, index int) (int, error) {
+	err := ReduceContext(context.Background(), workers, n, func(worker, index int) (int, error) {
 		if index == 0 {
 			// An adversarially slow first task: without the reordering
 			// window the other workers would park O(n) results behind it.
@@ -327,7 +316,7 @@ func TestReduceSkipsFailedAndReportsLowest(t *testing.T) {
 	boom7, boom31 := errors.New("boom7"), errors.New("boom31")
 	for _, workers := range []int{1, 8} {
 		var folded []int
-		err := Reduce(workers, 40, func(worker, index int) (int, error) {
+		err := ReduceContext(context.Background(), workers, 40, func(worker, index int) (int, error) {
 			switch index {
 			case 7:
 				return 0, boom7
@@ -377,7 +366,7 @@ func TestReduceContextCancellation(t *testing.T) {
 }
 
 func TestReduceZeroTasks(t *testing.T) {
-	err := Reduce(8, 0, func(worker, index int) (int, error) {
+	err := ReduceContext(context.Background(), 8, 0, func(worker, index int) (int, error) {
 		t.Fatal("task ran for n=0")
 		return 0, nil
 	}, func(index int, v int) {

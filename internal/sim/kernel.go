@@ -383,7 +383,7 @@ func (k *Kernel) AfterEvent(d Time, h HandlerID, kind uint8, a, b int64) {
 	k.AtEvent(k.now+d, h, kind, a, b)
 }
 
-// Stop makes Run return after the current event completes.
+// Stop makes Run or RunUntil return after the current event completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // exec runs one event callback, then drains any tail calls it (or its
@@ -457,7 +457,9 @@ func (k *Kernel) Run() Time {
 
 // RunUntil executes events with timestamps ≤ deadline, then advances the
 // clock to deadline (even if idle) and returns. Events scheduled beyond the
-// deadline remain queued.
+// deadline remain queued. If Stop ends it early, the clock stays at the
+// last event fired, so events still queued before the deadline fire at
+// their own times on the next Run.
 func (k *Kernel) RunUntil(deadline Time) Time {
 	k.stopped = false
 	for !k.stopped {
@@ -466,7 +468,7 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 		}
 		k.step()
 	}
-	if k.now < deadline {
+	if !k.stopped && k.now < deadline {
 		k.now = deadline
 		k.tieArmed = false // idle advance: nothing fired at this reading
 	}

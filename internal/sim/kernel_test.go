@@ -98,6 +98,39 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestStopInsideRunUntil stops RunUntil while events before its deadline
+// are still queued: the clock must stay at the stopping event, and the
+// next Run must fire the pending events at their own times, so virtual
+// time never decreases.
+func TestStopInsideRunUntil(t *testing.T) {
+	k := NewKernel()
+	var fired []Time
+	record := func() {
+		if n := len(fired); n > 0 && k.Now() < fired[n-1] {
+			t.Errorf("clock went back: %v after %v", k.Now(), fired[n-1])
+		}
+		fired = append(fired, k.Now())
+	}
+	k.At(10*Nanosecond, func() { record(); k.Stop() })
+	k.At(10*Nanosecond, record)
+	k.At(20*Nanosecond, record)
+	if got := k.RunUntil(100 * Nanosecond); got != 10*Nanosecond {
+		t.Fatalf("RunUntil returned %v after Stop, want 10ns", got)
+	}
+	if got := k.Run(); got != 20*Nanosecond {
+		t.Fatalf("Run returned %v, want 20ns", got)
+	}
+	want := []Time{10 * Nanosecond, 10 * Nanosecond, 20 * Nanosecond}
+	if len(fired) != len(want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired at %v, want %v", fired, want)
+		}
+	}
+}
+
 func TestNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	depth := 0
